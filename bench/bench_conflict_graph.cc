@@ -14,9 +14,6 @@
 //    insertion (the analysis-side shape: each AddEdge invalidates the
 //    legacy topo cache, so every query pays O(V+E); the online order pays
 //    O(affected region) once at insert).
-//  * dense build — ConflictGraph::Build's bitset sweep vs the reference
-//    vector sweep (BuildReference) on a many-txns/few-items schedule, with
-//    a bit-identical-graph differential check before timing.
 //
 // Both modes run the same deterministic edge stream (seeded Rng); the
 // incremental verdicts are NSE_CHECKed against the batch DFS reference on
@@ -288,75 +285,6 @@ int main(int argc, char** argv) {
     row.legacy_per_tick_us = legacy_ms * 1000.0 / c.edges;
     row.incremental_per_tick_us = incr_ms * 1000.0 / c.edges;
     row.speedup = incr_ms == 0 ? 0 : legacy_ms / incr_ms;
-    rows.push_back(row);
-    table.AddRow({row.workload, StrCat(row.txns), StrCat(row.ticks),
-                  FormatDouble(row.legacy_per_tick_us, 3),
-                  FormatDouble(row.incremental_per_tick_us, 3),
-                  StrCat(FormatDouble(row.speedup, 2), "x"), "-"});
-  }
-
-  // Dense-item builds: many txns hammering a handful of items — the worst
-  // case for the reference vector sweep (every access rescans long
-  // reader/writer histories) and the target case for the bitset planes
-  // (word-parallel novelty masks + first-occurrence emission). Also the
-  // FlatAdjacency stress shape: a few hundred nodes with fat, hot regions.
-  struct DenseCase {
-    size_t txns;
-    size_t items;
-    size_t ops;
-  };
-  std::vector<DenseCase> dense_cases =
-      smoke ? std::vector<DenseCase>{{48, 2, 400}}
-            : std::vector<DenseCase>{{256, 4, 6000}};
-  for (const DenseCase& c : dense_cases) {
-    Rng rng(31);
-    OpSequence ops;
-    for (size_t i = 0; i < c.ops; ++i) {
-      TxnId txn = static_cast<TxnId>(1 + rng.NextBelow(c.txns));
-      ItemId item = static_cast<ItemId>(rng.NextBelow(c.items));
-      if (rng.NextBool(0.5)) {
-        ops.push_back(Operation::Write(txn, item, Value(0)));
-      } else {
-        ops.push_back(Operation::Read(txn, item, Value(0)));
-      }
-    }
-    Schedule schedule(std::move(ops));
-
-    // Differential contract first: the dense fast path must produce the
-    // bit-identical graph (same edges in the same order).
-    {
-      ConflictGraph dense = ConflictGraph::Build(schedule);
-      ConflictGraph reference = ConflictGraph::BuildReference(schedule);
-      NSE_CHECK_MSG(dense.Edges() == reference.Edges(),
-                    "dense build diverged from the reference sweep");
-      NSE_CHECK_MSG(dense.ToString() == reference.ToString(),
-                    "dense build render diverged from the reference sweep");
-    }
-
-    double reference_ms = BestOf(reps, [&] {
-      auto start = std::chrono::steady_clock::now();
-      ConflictGraph g = ConflictGraph::BuildReference(schedule);
-      auto end = std::chrono::steady_clock::now();
-      NSE_CHECK(g.num_edges() > 0);
-      return std::chrono::duration<double, std::milli>(end - start).count();
-    });
-    double dense_ms = BestOf(reps, [&] {
-      auto start = std::chrono::steady_clock::now();
-      ConflictGraph g = ConflictGraph::Build(schedule);
-      auto end = std::chrono::steady_clock::now();
-      NSE_CHECK(g.num_edges() > 0);
-      return std::chrono::duration<double, std::milli>(end - start).count();
-    });
-
-    Row row;
-    row.workload = StrCat("dense_build_", c.txns, "txn_", c.items, "item");
-    row.txns = c.txns;
-    row.ticks = c.ops;
-    row.legacy_ms = reference_ms;
-    row.incremental_ms = dense_ms;
-    row.legacy_per_tick_us = reference_ms * 1000.0 / c.ops;
-    row.incremental_per_tick_us = dense_ms * 1000.0 / c.ops;
-    row.speedup = dense_ms == 0 ? 0 : reference_ms / dense_ms;
     rows.push_back(row);
     table.AddRow({row.workload, StrCat(row.txns), StrCat(row.ticks),
                   FormatDouble(row.legacy_per_tick_us, 3),

@@ -108,8 +108,8 @@ void AnalysisContext::BuildCoreGraphs() {
   // conflict graph are regroupings of the same per-item access histories,
   // and the reads-from relation falls out of the same last-write tracking.
   // With disjoint conjuncts each item feeds exactly one conjunct, so one
-  // sweep over the schedule derives all of them without materializing a
-  // single projected schedule.
+  // conflict sweep over the schedule feeds all of them without
+  // materializing a single projected schedule.
   size_t num_conjuncts = projection_graphs_.size();
   bool need_full = !conflict_graph_.has_value();
   bool need_rf = !reads_from_.has_value();
@@ -119,106 +119,84 @@ void AnalysisContext::BuildCoreGraphs() {
   }
   if (!need_full && !need_rf && !need_proj) return;
 
-  // One dense bitset sweep (ConflictBitSweep) in txn-index space: plane 0
-  // dedupes the full graph's edges, plane 1+e conjunct e's, so each
-  // distinct edge is emitted exactly once per consumer — the n×n seen
-  // matrices of the earlier implementation are gone. The per-op bookkeeping
-  // tracks last writes (reads-from) and per-conjunct membership alongside,
-  // and all scratch bump-allocates from the per-schedule arena.
   const std::vector<TxnId>& txn_ids = schedule_->txn_ids();
   const uint32_t n = static_cast<uint32_t>(txn_ids.size());
   const OpSequence& ops = schedule_->ops();
   arena_.Reset();
 
-  // Deduped edges in first-occurrence (schedule) order, each with the
-  // position of the operation that created it — inserting them in this
-  // order into incremental graphs makes the recorded first cycle the
-  // earliest one the schedule closes.
-  struct EdgeAt {
-    uint32_t from;
-    uint32_t to;
-    size_t pos;
-  };
-  ArenaVector<EdgeAt> full_edges{ArenaAllocator<EdgeAt>(&arena_)};
-  std::vector<ArenaVector<EdgeAt>> proj_edges(
-      num_conjuncts, ArenaVector<EdgeAt>{ArenaAllocator<EdgeAt>(&arena_)});
-  ArenaVector<char> proj_member(static_cast<size_t>(num_conjuncts) * n, 0,
-                                ArenaAllocator<char>(&arena_));
+  // Pass 1, O(ops): the conjunct of every touched item, the txn membership
+  // of each conjunct (the projected graphs' node sets), and reads-from.
+  // local[e * n + idx] is txn idx's node index in conjunct e's graph, or
+  // kNotMember.
+  constexpr uint32_t kNotMember = UINT32_MAX;
+  ArenaVector<uint32_t> local(need_proj ? num_conjuncts * n : 0, kNotMember,
+                              ArenaAllocator<uint32_t>(&arena_));
   std::vector<ReadsFromEdge> rf;  // kept artifact, not scratch
   struct ItemState {
     int conjunct = -2;  // -2 = not looked up yet, -1 = unconstrained
     std::optional<size_t> last_write;
   };
   ArenaVector<ItemState> items{ArenaAllocator<ItemState>(&arena_)};
-  // Conjunct of the item an operation touches, memoized per item; -1 when
-  // unconstrained.
-  auto conjunct_of = [&](const Operation& op) {
+  for (size_t pos = 0; pos < ops.size(); ++pos) {
+    const Operation& op = ops[pos];
     if (op.entity >= items.size()) items.resize(op.entity + 1);
     ItemState& item = items[op.entity];
     if (item.conjunct == -2) {
       std::optional<size_t> e = ic().ConjunctOf(op.entity);
       item.conjunct = e.has_value() ? static_cast<int>(*e) : -1;
     }
-    return item.conjunct;
-  };
-  internal::ConflictBitSweep sweep(n, 1 + num_conjuncts);
-  for (size_t pos = 0; pos < ops.size(); ++pos) {
-    const Operation& op = ops[pos];
-    const uint32_t idx = static_cast<uint32_t>(
-        std::lower_bound(txn_ids.begin(), txn_ids.end(), op.txn) -
-        txn_ids.begin());
-    const int e = conjunct_of(op);
-    if (need_proj && e >= 0) {
-      proj_member[static_cast<size_t>(e) * n + idx] = 1;
+    if (need_proj && item.conjunct >= 0) {
+      const size_t idx = static_cast<size_t>(
+          std::lower_bound(txn_ids.begin(), txn_ids.end(), op.txn) -
+          txn_ids.begin());
+      local[static_cast<size_t>(item.conjunct) * n + idx] = 0;
     }
-    ItemState& item = items[op.entity];
     if (op.is_write()) {
       item.last_write = pos;
     } else if (need_rf && item.last_write.has_value()) {
       rf.push_back(ReadsFromEdge{pos, *item.last_write});
     }
-    const int extra_plane = (need_proj && e >= 0) ? 1 + e : -1;
-    sweep.Access(idx, op.is_write(), op.entity, extra_plane,
-                 [&](size_t plane, uint32_t from) {
-                   if (plane == 0) {
-                     if (need_full) full_edges.push_back({from, idx, pos});
-                   } else {
-                     proj_edges[plane - 1].push_back({from, idx, pos});
-                   }
-                 });
-  }
-  if (need_full) {
-    ConflictGraph graph(txn_ids, CycleMode::kIncremental);
-    for (const EdgeAt& edge : full_edges) {
-      graph.AddEdgeByIndexAt(edge.from, edge.to, edge.pos);
-    }
-    conflict_graph_ = std::move(graph);
-    ++stats_.conflict_graph_builds;
   }
   if (need_rf) {
     reads_from_ = std::move(rf);
     ++stats_.reads_from_builds;
   }
+  if (!need_full && !need_proj) return;
+
+  // Pass 2: the conflict sweep feeds every unbuilt graph directly.
+  // AddEdgeByIndexAt dedupes, so each graph's first successful insert of an
+  // edge happens at the operation that first creates it — the recorded
+  // first cycle is the earliest one the schedule closes.
+  ConflictGraph* full = nullptr;
+  if (need_full) {
+    conflict_graph_.emplace(txn_ids, CycleMode::kIncremental);
+    full = &*conflict_graph_;
+    ++stats_.conflict_graph_builds;
+  }
+  std::vector<ConflictGraph*> proj(num_conjuncts, nullptr);
   for (size_t e = 0; e < num_conjuncts; ++e) {
     if (projection_graphs_[e].has_value()) continue;
-    // Local node list of S^{d_e} plus the full-index → local-index map.
     std::vector<TxnId> nodes;
-    ArenaVector<uint32_t> local(n, 0, ArenaAllocator<uint32_t>(&arena_));
     for (uint32_t idx = 0; idx < n; ++idx) {
-      if (proj_member[e * n + idx]) {
-        local[idx] = static_cast<uint32_t>(nodes.size());
-        nodes.push_back(txn_ids[idx]);
-      }
+      uint32_t& slot = local[e * n + idx];
+      if (slot == kNotMember) continue;
+      slot = static_cast<uint32_t>(nodes.size());
+      nodes.push_back(txn_ids[idx]);
     }
-    ConflictGraph graph(std::move(nodes), CycleMode::kIncremental);
-    for (const EdgeAt& edge : proj_edges[e]) {
-      // The positions are full-schedule positions (the sweep runs over S),
-      // so a projected graph's cycle_op_pos needs no mapping here.
-      graph.AddEdgeByIndexAt(local[edge.from], local[edge.to], edge.pos);
-    }
-    projection_graphs_[e] = std::move(graph);
+    projection_graphs_[e].emplace(std::move(nodes), CycleMode::kIncremental);
+    proj[e] = &*projection_graphs_[e];
     ++stats_.projection_graph_builds;
   }
+  internal::SweepConflicts(
+      *schedule_, [&](uint32_t from, uint32_t to, size_t pos) {
+        if (full != nullptr) full->AddEdgeByIndexAt(from, to, pos);
+        const int e = items[ops[pos].entity].conjunct;
+        if (e < 0 || proj[e] == nullptr) return;
+        // The positions are full-schedule positions (the sweep runs over
+        // S), so a projected graph's cycle_op_pos needs no mapping here.
+        const size_t base = static_cast<size_t>(e) * n;
+        proj[e]->AddEdgeByIndexAt(local[base + from], local[base + to], pos);
+      });
 }
 
 const DataAccessGraph& AnalysisContext::access_graph() {

@@ -167,9 +167,10 @@ class AnalysisContext {
   /// the schedule: conflicts are same-item, so every graph is a regrouping
   /// of the same per-item access histories. The projected-graph part is
   /// valid only for disjoint conjuncts (each item feeds exactly one
-  /// conjunct's graph); callers gate on ic().disjoint(). The pass runs the
-  /// dense bitset sweep (one plane per graph) with its scratch in the
-  /// per-schedule arena.
+  /// conjunct's graph); callers gate on ic().disjoint(). One O(ops) pass
+  /// collects conjunct membership and reads-from, then one
+  /// internal::SweepConflicts pass feeds every unbuilt graph; scratch lives
+  /// in the per-schedule arena.
   void BuildCoreGraphs();
 
   const Database* db_ = nullptr;
@@ -190,8 +191,8 @@ class AnalysisContext {
   std::optional<std::optional<DrViolation>> strict_violation_;
   std::optional<Result<StrongCorrectnessReport>> strong_;
 
-  /// Scratch for the fused builds: edge lists, membership flags and item
-  /// states bump-allocate here instead of issuing per-container mallocs.
+  /// Scratch for the fused builds: node maps and item states
+  /// bump-allocate here instead of issuing per-container mallocs.
   MonotonicArena arena_;
 
   AnalysisCacheStats stats_;

@@ -4,11 +4,18 @@
 // serializable (CSR) iff the graph is acyclic; topological orders of the
 // graph are exactly its serialization orders (Papadimitriou [13]).
 //
-// The graph is stored as sorted adjacency lists and supports incremental
-// edge insertion (AddEdge); the canonical topological order is computed on
-// demand and cached until the next insertion, so repeated acyclicity /
-// serialization-order queries on the same graph are free. Build sweeps the
-// schedule once per item history instead of comparing all operation pairs.
+// The graph is stored as one sorted successor vector per node (plus a
+// sorted predecessor vector per node in incremental mode) and supports
+// incremental edge insertion (AddEdge); sorted lists make every iteration
+// order — Edges(), cycle witnesses, WouldCloseCycleWitness paths —
+// independent of insertion order. The canonical topological order is
+// computed on demand and cached until the next insertion, so repeated
+// acyclicity / serialization-order queries on the same graph are free.
+//
+// Conflicts are derived by exactly one sweep: ConflictAccessIndex keeps
+// per-item writer/reader histories, and internal::SweepConflicts walks the
+// schedule once through it. Build, the AnalysisContext core build, the SGT
+// policy and the streaming checker all go through that index.
 //
 // CycleMode::kIncremental additionally maintains an *online* topological
 // order updated in place on every insertion with the Pearce–Kelly
@@ -44,80 +51,6 @@ enum class CycleMode : uint8_t {
   kIncremental,
 };
 
-namespace internal {
-
-/// CSR-style flat adjacency storage: every node's neighbor list is a sorted
-/// region of one shared slab, with per-node slack so inserts are in-place
-/// shifts. When a region fills, the whole slab is compacted once with fresh
-/// proportional slack — amortized O(1) slabs per node doubling, in exchange
-/// for one allocation per compaction instead of one per neighbor list.
-///
-/// Regions stay sorted deliberately (the issue's unsorted-insert variant
-/// was rejected; see docs/adr/0006): iteration order is then bit-identical
-/// to the nested-vector layout this replaces, which the recorded cycle
-/// witnesses, WouldCloseCycleWitness paths, and Edges() ordering all
-/// observe.
-class FlatAdjacency {
- public:
-  FlatAdjacency() = default;
-  explicit FlatAdjacency(size_t num_nodes) { Reset(num_nodes); }
-
-  /// Re-initializes to `num_nodes` empty regions.
-  void Reset(size_t num_nodes);
-
-  /// A view of one node's sorted neighbors. Invalidated by Insert (which
-  /// may compact the slab); Erase/Clear keep other regions in place.
-  class Span {
-   public:
-    Span(const uint32_t* begin, const uint32_t* end)
-        : begin_(begin), end_(end) {}
-    const uint32_t* begin() const { return begin_; }
-    const uint32_t* end() const { return end_; }
-    size_t size() const { return static_cast<size_t>(end_ - begin_); }
-    bool empty() const { return begin_ == end_; }
-    uint32_t operator[](size_t i) const { return begin_[i]; }
-
-   private:
-    const uint32_t* begin_;
-    const uint32_t* end_;
-  };
-
-  Span operator[](size_t node) const {
-    const uint32_t* base = slab_.data() + start_[node];
-    return Span(base, base + count_[node]);
-  }
-
-  size_t size(size_t node) const { return count_[node]; }
-  size_t num_nodes() const { return start_.size(); }
-
-  /// Sorted insert; returns true when `value` was not already present.
-  bool Insert(size_t node, uint32_t value);
-
-  /// Removes `value` if present (region shift; no compaction).
-  bool Erase(size_t node, uint32_t value);
-
-  bool Contains(size_t node, uint32_t value) const;
-
-  /// Empties `node`'s region (capacity is reclaimed at the next compact).
-  void Clear(size_t node) { count_[node] = 0; }
-
-  /// Slab compactions so far (observability for tests/benches).
-  size_t compactions() const { return compactions_; }
-
- private:
-  /// Rewrites the slab with fresh slack, guaranteeing room for one more
-  /// neighbor of `grow_node`.
-  void Compact(size_t grow_node);
-
-  std::vector<uint32_t> slab_;
-  std::vector<uint32_t> start_;  // region offsets into slab_
-  std::vector<uint32_t> count_;  // live neighbors per region
-  std::vector<uint32_t> cap_;    // region capacities
-  size_t compactions_ = 0;
-};
-
-}  // namespace internal
-
 /// The conflict graph of one schedule (or schedule projection).
 class ConflictGraph {
  public:
@@ -129,18 +62,13 @@ class ConflictGraph {
   explicit ConflictGraph(std::vector<TxnId> nodes,
                          CycleMode mode = CycleMode::kBatch);
 
-  /// Builds the graph from `schedule`. In incremental mode the first
-  /// cycle-closing edge additionally records the schedule position of the
-  /// operation that created it (cycle_op_pos). Uses the dense bitset sweep
-  /// (ConflictBitSweep); bit-identical to BuildReference by construction
-  /// and pinned so by the fuzz differential.
+  /// Builds the graph from `schedule` with one SweepConflicts pass; edges
+  /// are inserted in the order the schedule first creates them. In
+  /// incremental mode the first cycle-closing edge additionally records
+  /// the schedule position of the operation that created it
+  /// (cycle_op_pos).
   static ConflictGraph Build(const Schedule& schedule,
                              CycleMode mode = CycleMode::kBatch);
-
-  /// The reference build over the vector-scan sweep (SweepConflicts). Kept
-  /// as the cross-check oracle for Build and the bench baseline.
-  static ConflictGraph BuildReference(const Schedule& schedule,
-                                      CycleMode mode = CycleMode::kBatch);
 
   /// Transactions (nodes), ascending by id.
   const std::vector<TxnId>& nodes() const { return nodes_; }
@@ -280,13 +208,13 @@ class ConflictGraph {
                               std::optional<size_t> op_pos);
 
   std::vector<TxnId> nodes_;
-  internal::FlatAdjacency out_;     // sorted successor indices, flat slab
+  std::vector<std::vector<uint32_t>> out_;  // sorted successor indices
   std::vector<uint32_t> indegree_;  // by node index
   size_t num_edges_ = 0;
   CycleMode mode_ = CycleMode::kBatch;
 
   // Incremental mode state.
-  internal::FlatAdjacency in_;  // sorted predecessor indices, flat slab
+  std::vector<std::vector<uint32_t>> in_;  // sorted predecessor indices
   std::vector<uint32_t> ord_;              // node index -> online rank
   std::optional<std::pair<TxnId, TxnId>> cycle_edge_;
   std::optional<size_t> cycle_op_pos_;
@@ -303,9 +231,10 @@ class ConflictGraph {
 /// single statement of the paper's conflict rule (same item, distinct
 /// transactions, at least one write) shared by the batch analysis sweep
 /// (internal::SweepConflicts, hence ConflictGraph::Build and the
-/// AnalysisContext fused core build) and the SGT policy's online veto
-/// check. Accessors are caller-chosen uint32_t handles: txn indices into
-/// schedule.txn_ids() for the sweep, raw txn ids for the scheduler.
+/// AnalysisContext core build), the SGT policy's online veto check and
+/// the streaming checker. Accessors are caller-chosen uint32_t handles:
+/// txn indices into schedule.txn_ids() for the sweep, raw txn ids for the
+/// scheduler, window slots for the streaming checker.
 class ConflictAccessIndex {
  public:
   /// Calls emit(prior) for every distinct prior accessor whose recorded
@@ -355,19 +284,19 @@ class ConflictAccessIndex {
 namespace internal {
 
 /// The single implementation of the per-item conflict sweep shared by
-/// ConflictGraph::Build and the AnalysisContext fused core build. Walks the
+/// ConflictGraph::Build and the AnalysisContext core build. Walks the
 /// schedule once, feeding each operation through a ConflictAccessIndex
-/// keyed by txn indices into schedule.txn_ids(), and calls:
+/// keyed by txn indices into schedule.txn_ids(), and calls
 ///
-///   on_op(op_pos, txn_index)        for every operation, in order;
 ///   emit(from_index, to_index, op_pos)
-///       for every candidate conflict pair — a write conflicts with every
-///       earlier accessor of its item, a read with every earlier writer.
 ///
+/// for every candidate conflict pair — a write conflicts with every
+/// earlier accessor of its item, a read with every earlier writer.
 /// Candidate pairs repeat across positions; deduplication is the caller's
-/// job (AddEdgeByIndex, or a seen-bitset for bulk builds).
-template <typename OnOpFn, typename EmitFn>
-void SweepConflicts(const Schedule& schedule, OnOpFn on_op, EmitFn emit) {
+/// job (AddEdgeByIndex), so a graph's first successful insert of each edge
+/// happens at the position that first creates it.
+template <typename EmitFn>
+void SweepConflicts(const Schedule& schedule, EmitFn emit) {
   const std::vector<TxnId>& txn_ids = schedule.txn_ids();
   ConflictAccessIndex index;
   const OpSequence& ops = schedule.ops();
@@ -376,145 +305,11 @@ void SweepConflicts(const Schedule& schedule, OnOpFn on_op, EmitFn emit) {
     const uint32_t idx = static_cast<uint32_t>(
         std::lower_bound(txn_ids.begin(), txn_ids.end(), op.txn) -
         txn_ids.begin());
-    on_op(i, idx);
     index.ForEachConflict(idx, op.is_write(), op.entity,
                           [&](uint32_t from) { emit(from, idx, i); });
     index.Record(idx, op.is_write(), op.entity);
   }
 }
-
-/// Dense fast path for the per-item conflict sweep: per-item reader/writer
-/// bitsets over txn indices plus per-plane already-emitted bitsets (64-bit
-/// word blocks). An access whose conflicts were all emitted before — the
-/// common case on hot items — costs a few word scans and popcounts, with
-/// no per-accessor walk and no downstream dedupe work at all, because the
-/// emitted bitset is exactly the consumer-side dedupe pulled up front (an
-/// already-present pair is a no-op insert either way).
-///
-/// First-occurrence emissions walk the recorded first-access orders, so
-/// the emitted pair sequence is exactly the reference sweep's sequence of
-/// *successful* inserts — prior writers first, then (for writes) prior
-/// readers — which keeps dense-built graphs bit-identical to
-/// reference-built ones, recorded cycle witnesses included. Planes let one
-/// sweep feed several consumers (the full graph and each conjunct
-/// projection) with independent dedupe. Cross-checked against
-/// SweepConflicts by the fuzz differential.
-class ConflictBitSweep {
- public:
-  ConflictBitSweep(uint32_t num_txns, size_t num_planes)
-      : num_txns_(num_txns),
-        words_((static_cast<size_t>(num_txns) + 63) / 64),
-        emitted_(num_planes) {}
-
-  /// Feeds one access in schedule order: calls emit(plane, from) for every
-  /// conflict pair (from → accessor) not yet emitted on that plane, then
-  /// records the access. `extra_plane` (< 0 for none) additionally emits
-  /// the same access's pairs under a second plane's dedupe.
-  template <typename EmitFn>
-  void Access(uint32_t accessor, bool is_write, ItemId item, int extra_plane,
-              EmitFn emit) {
-    if (item >= items_.size()) items_.resize(item + 1);
-    ItemBits& bits = items_[item];
-    EmitPlane(bits, accessor, is_write, 0, emit);
-    if (extra_plane >= 0) {
-      EmitPlane(bits, accessor, is_write, static_cast<size_t>(extra_plane),
-                emit);
-    }
-    RecordBit(is_write ? bits.writer_words : bits.reader_words,
-              is_write ? bits.writer_order : bits.reader_order, accessor);
-  }
-
-  /// Distinct conflict pairs emitted on `plane` so far.
-  uint64_t emitted_count(size_t plane) const {
-    uint64_t total = 0;
-    for (uint64_t word : emitted_[plane]) {
-      total += static_cast<uint64_t>(__builtin_popcountll(word));
-    }
-    return total;
-  }
-
- private:
-  struct ItemBits {
-    std::vector<uint64_t> writer_words;  // membership, lazily grown
-    std::vector<uint64_t> reader_words;
-    std::vector<uint32_t> writer_order;  // distinct, first-access order
-    std::vector<uint32_t> reader_order;
-  };
-
-  /// Popcount of candidate bits not yet emitted on `row` (the accessor's
-  /// own bit masked out).
-  static uint64_t CountNew(const std::vector<uint64_t>& cand,
-                           const uint64_t* row, uint32_t accessor) {
-    uint64_t fresh = 0;
-    const size_t self_word = accessor >> 6;
-    for (size_t w = 0; w < cand.size(); ++w) {
-      uint64_t word = cand[w] & ~row[w];
-      if (w == self_word) word &= ~(uint64_t{1} << (accessor & 63));
-      fresh += static_cast<uint64_t>(__builtin_popcountll(word));
-    }
-    return fresh;
-  }
-
-  /// Emits the `fresh` not-yet-emitted accessors of `order` in first-access
-  /// order, marking them on `row`.
-  template <typename EmitFn>
-  static void WalkOrder(const std::vector<uint32_t>& order, uint64_t* row,
-                        uint32_t accessor, uint64_t fresh, size_t plane,
-                        EmitFn& emit) {
-    for (uint32_t from : order) {
-      if (from == accessor) continue;
-      uint64_t& word = row[from >> 6];
-      const uint64_t bit = uint64_t{1} << (from & 63);
-      if ((word & bit) != 0) continue;
-      word |= bit;
-      emit(plane, from);
-      if (--fresh == 0) break;
-    }
-  }
-
-  template <typename EmitFn>
-  void EmitPlane(ItemBits& bits, uint32_t accessor, bool is_write,
-                 size_t plane, EmitFn& emit) {
-    uint64_t* row = PlaneRow(plane, accessor);
-    uint64_t fresh = CountNew(bits.writer_words, row, accessor);
-    if (fresh != 0) {
-      WalkOrder(bits.writer_order, row, accessor, fresh, plane, emit);
-    }
-    if (is_write) {
-      // Recomputed after the writer walk: an accessor on both lists was
-      // just marked there and must not emit twice.
-      fresh = CountNew(bits.reader_words, row, accessor);
-      if (fresh != 0) {
-        WalkOrder(bits.reader_order, row, accessor, fresh, plane, emit);
-      }
-    }
-  }
-
-  /// The accessor's 64-bit row of `plane`'s emitted bitset (rows allocated
-  /// on a plane's first use).
-  uint64_t* PlaneRow(size_t plane, uint32_t accessor) {
-    std::vector<uint64_t>& store = emitted_[plane];
-    if (store.empty()) {
-      store.assign(static_cast<size_t>(num_txns_) * words_, 0);
-    }
-    return store.data() + static_cast<size_t>(accessor) * words_;
-  }
-
-  static void RecordBit(std::vector<uint64_t>& words,
-                        std::vector<uint32_t>& order, uint32_t accessor) {
-    const size_t w = accessor >> 6;
-    if (w >= words.size()) words.resize(w + 1, 0);
-    const uint64_t bit = uint64_t{1} << (accessor & 63);
-    if ((words[w] & bit) != 0) return;
-    words[w] |= bit;
-    order.push_back(accessor);
-  }
-
-  uint32_t num_txns_;
-  size_t words_;
-  std::vector<ItemBits> items_;
-  std::vector<std::vector<uint64_t>> emitted_;  // plane -> txns × words_
-};
 
 }  // namespace internal
 

@@ -24,6 +24,7 @@ Result<AccessGrant> MvtoPolicy::RequestAccess(TxnId txn,
                                               const TxnScript& script,
                                               size_t step) {
   NSE_RETURN_IF_ERROR(CheckStep(script, step));
+  NSE_RETURN_IF_ERROR(CheckTxn(txn, ts_.size() - 1));
   WaitTicket ticket = MakeTicket();  // before the decision: a wait may follow
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t ts = EnsureTimestamp(txn);
@@ -66,6 +67,7 @@ Result<AccessGrant> MvtoPolicy::RequestAccess(TxnId txn,
 }
 
 void MvtoPolicy::DoCommit(TxnId txn) {
+  if (!InPopulation(txn, ts_.size() - 1)) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (ts_[txn].has_value()) {
     for (ItemId item : written_[txn]) {
@@ -84,6 +86,7 @@ void MvtoPolicy::DoCommit(TxnId txn) {
 }
 
 void MvtoPolicy::DoAbort(TxnId txn) {
+  if (!InPopulation(txn, ts_.size() - 1)) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (!ts_[txn].has_value()) return;  // idempotent: already retracted
   for (ItemId item : written_[txn]) {
@@ -102,7 +105,7 @@ std::vector<TxnId> MvtoPolicy::Blockers(TxnId txn, const TxnScript& script,
                                         size_t step) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (step >= script.steps.size()) return {};
-  if (txn >= ts_.size() || !ts_[txn].has_value()) return {};
+  if (!InPopulation(txn, ts_.size() - 1) || !ts_[txn].has_value()) return {};
   const AccessStep& access = script.steps[step];
   if (access.action != OpAction::kRead) return {};
   Result<VersionView> peek = store_.Peek(access.item, *ts_[txn]);

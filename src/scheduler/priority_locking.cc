@@ -23,6 +23,7 @@ uint64_t PriorityLockingPolicy::StampOf(TxnId txn) const {
 Result<AccessGrant> PriorityLockingPolicy::RequestAccess(
     TxnId txn, const TxnScript& script, size_t step) {
   NSE_RETURN_IF_ERROR(CheckStep(script, step));
+  NSE_RETURN_IF_ERROR(CheckTxn(txn, stamp_.size() - 1));
   WaitTicket ticket = MakeTicket();
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t ts = EnsureStamp(txn);
@@ -43,6 +44,7 @@ Result<AccessGrant> PriorityLockingPolicy::RequestAccess(
 }
 
 void PriorityLockingPolicy::DoCommit(TxnId txn) {
+  if (!InPopulation(txn, stamp_.size() - 1)) return;
   std::lock_guard<std::mutex> lock(mu_);
   locks_.ReleaseAll(txn);
 }
@@ -50,6 +52,7 @@ void PriorityLockingPolicy::DoCommit(TxnId txn) {
 void PriorityLockingPolicy::DoAbort(TxnId txn) {
   // Wound or death: drop the locks but *keep* the stamp — the restarted
   // incarnation inherits its age, which is what rules out starvation.
+  if (!InPopulation(txn, stamp_.size() - 1)) return;
   std::lock_guard<std::mutex> lock(mu_);
   locks_.ReleaseAll(txn);
 }
@@ -58,6 +61,7 @@ std::vector<TxnId> PriorityLockingPolicy::Blockers(TxnId txn,
                                                    const TxnScript& script,
                                                    size_t step) const {
   if (step >= script.steps.size()) return {};
+  if (!InPopulation(txn, stamp_.size() - 1)) return {};
   std::lock_guard<std::mutex> lock(mu_);
   const AccessStep& access = script.steps[step];
   const LockMode mode =

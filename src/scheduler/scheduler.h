@@ -34,6 +34,7 @@
 
 #include "common/logging.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "state/database.h"
 #include "txn/operation.h"
 
@@ -149,8 +150,8 @@ class SchedulerPolicy {
 
   /// May transaction `txn` perform `script.steps[step]` now?
   /// Returns a non-OK Status only for malformed requests (`step` out of
-  /// range); scheduling outcomes — including aborts — are verdicts, not
-  /// errors.
+  /// range, or a txn id outside a fixed population — see CheckTxn);
+  /// scheduling outcomes — including aborts — are verdicts, not errors.
   virtual Result<AccessGrant> RequestAccess(TxnId txn, const TxnScript& script,
                                             size_t step) = 0;
 
@@ -262,6 +263,21 @@ class SchedulerPolicy {
   static Status CheckStep(const TxnScript& script, size_t step) {
     if (step >= script.steps.size()) {
       return Status::OutOfRange("access step index out of range");
+    }
+    return Status::Ok();
+  }
+
+  /// Population guard for the policies whose per-txn tables are sized at
+  /// construction (ids 1..num_txns, the drivers' convention). Any other id
+  /// is a malformed request: RequestAccess answers InvalidArgument, and
+  /// Commit / Abort / Blockers treat it as a no-op.
+  static bool InPopulation(TxnId txn, size_t num_txns) {
+    return txn >= 1 && txn <= num_txns;
+  }
+  static Status CheckTxn(TxnId txn, size_t num_txns) {
+    if (!InPopulation(txn, num_txns)) {
+      return Status::InvalidArgument(
+          StrCat("txn id ", txn, " outside the population 1..", num_txns));
     }
     return Status::Ok();
   }

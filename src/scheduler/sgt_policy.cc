@@ -75,6 +75,7 @@ Result<AccessGrant> SgtPolicy::RequestAccess(TxnId txn,
                                              const TxnScript& script,
                                              size_t step) {
   NSE_RETURN_IF_ERROR(CheckStep(script, step));
+  NSE_RETURN_IF_ERROR(CheckTxn(txn, committed_.size() - 1));
   WaitTicket ticket = MakeTicket();
   std::lock_guard<std::mutex> lock(mu_);
   VetoProbe probe = ProbeAccess(txn, script, step);
@@ -145,6 +146,7 @@ void SgtPolicy::TrimCommitted(std::vector<TxnId> seeds) {
 }
 
 void SgtPolicy::DoCommit(TxnId txn) {
+  if (!InPopulation(txn, committed_.size() - 1)) return;
   std::lock_guard<std::mutex> lock(mu_);
   // Committed edges stay: later accesses must still serialize after txn
   // (until the GC proves the node can never rejoin a cycle).
@@ -158,6 +160,7 @@ void SgtPolicy::DoCommit(TxnId txn) {
 }
 
 void SgtPolicy::DoAbort(TxnId txn) {
+  if (!InPopulation(txn, committed_.size() - 1)) return;
   std::lock_guard<std::mutex> lock(mu_);
   // Retract the aborted transaction's whole footprint; it restarts from
   // scratch with a clean node. The retraction can strand committed
@@ -180,6 +183,7 @@ void SgtPolicy::DoAbort(TxnId txn) {
 std::vector<TxnId> SgtPolicy::Blockers(TxnId txn, const TxnScript& script,
                                        size_t step) const {
   if (step >= script.steps.size()) return {};
+  if (!InPopulation(txn, committed_.size() - 1)) return {};
   std::lock_guard<std::mutex> lock(mu_);
   // A vetoed access waits on the still-running sources of its cycle-closing
   // edges (a committed source can never unblock it — that case escalates to

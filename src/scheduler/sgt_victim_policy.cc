@@ -16,6 +16,7 @@ Result<AccessGrant> SgtVictimPolicy::RequestAccess(TxnId txn,
                                                    const TxnScript& script,
                                                    size_t step) {
   NSE_RETURN_IF_ERROR(CheckStep(script, step));
+  NSE_RETURN_IF_ERROR(CheckTxn(txn, committed_.size() - 1));
   WaitTicket ticket = MakeTicket();
   std::lock_guard<std::mutex> lock(mu_);
   // Hot path is the baseline's short-circuiting probe: admissions and

@@ -23,6 +23,7 @@ uint64_t SnapshotIsolationPolicy::OldestActiveSnapshot() const {
 Result<AccessGrant> SnapshotIsolationPolicy::RequestAccess(
     TxnId txn, const TxnScript& script, size_t step) {
   NSE_RETURN_IF_ERROR(CheckStep(script, step));
+  NSE_RETURN_IF_ERROR(CheckTxn(txn, snapshot_.size() - 1));
   WaitTicket ticket = MakeTicket();  // before the decision: a wait may follow
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t snapshot = EnsureSnapshot(txn);
@@ -79,6 +80,7 @@ void SnapshotIsolationPolicy::ReleaseWriteSet(TxnId txn) {
 }
 
 void SnapshotIsolationPolicy::DoCommit(TxnId txn) {
+  if (!InPopulation(txn, snapshot_.size() - 1)) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (snapshot_[txn].has_value()) {
     if (!writes_[txn].empty()) {
@@ -99,6 +101,7 @@ void SnapshotIsolationPolicy::DoCommit(TxnId txn) {
 }
 
 void SnapshotIsolationPolicy::DoAbort(TxnId txn) {
+  if (!InPopulation(txn, snapshot_.size() - 1)) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (!snapshot_[txn].has_value()) return;  // idempotent: already retracted
   ReleaseWriteSet(txn);
@@ -108,6 +111,7 @@ void SnapshotIsolationPolicy::DoAbort(TxnId txn) {
 std::vector<TxnId> SnapshotIsolationPolicy::Blockers(TxnId txn,
                                                      const TxnScript& script,
                                                      size_t step) const {
+  if (!InPopulation(txn, snapshot_.size() - 1)) return {};
   std::lock_guard<std::mutex> lock(mu_);
   if (step >= script.steps.size()) return {};
   const AccessStep& access = script.steps[step];

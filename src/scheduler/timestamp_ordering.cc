@@ -39,6 +39,7 @@ void TimestampOrderingPolicy::RecordStamp(std::vector<Stamp>& stamps,
 Result<AccessGrant> TimestampOrderingPolicy::RequestAccess(
     TxnId txn, const TxnScript& script, size_t step) {
   NSE_RETURN_IF_ERROR(CheckStep(script, step));
+  NSE_RETURN_IF_ERROR(CheckTxn(txn, ts_.size() - 1));
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t ts = EnsureTimestamp(txn);
   const AccessStep& access = script.steps[step];
@@ -91,6 +92,7 @@ void TimestampOrderingPolicy::RecordTouched(TxnId txn, ItemId item) {
 }
 
 void TimestampOrderingPolicy::DoCommit(TxnId txn) {
+  if (!InPopulation(txn, ts_.size() - 1)) return;
   std::lock_guard<std::mutex> lock(mu_);
   // Committed stamps can never retract, so only their per-item maxima
   // matter for future checks: fold them into the committed scalars and
@@ -118,6 +120,7 @@ void TimestampOrderingPolicy::DoCommit(TxnId txn) {
 }
 
 void TimestampOrderingPolicy::DoAbort(TxnId txn) {
+  if (!InPopulation(txn, ts_.size() - 1)) return;
   std::lock_guard<std::mutex> lock(mu_);
   // The incarnation's footprint vanishes (its trace ops are removed by the
   // driver's restart path); the restart draws a fresh, larger stamp, so

@@ -329,10 +329,10 @@ TEST_F(AnalysisContextTest, ContextAgreesWithCheckersOnRandomSchedules) {
   }
 }
 
-// Fused-sweep differential, fuzz-scaled: the arena-backed multi-plane
-// bitset pass behind BuildCoreGraphs (full graph + every conjunct graph +
-// reads-from in one walk of the schedule) against artifacts built one at a
-// time from materialized projections by the reference vector sweep.
+// Fused-sweep differential, fuzz-scaled: the one-sweep pass behind
+// BuildCoreGraphs (full graph + every conjunct graph + reads-from from one
+// walk of the schedule) against artifacts built one at a time by Build
+// over the full schedule and over materialized projections.
 TEST(AnalysisContextFusedSweepFuzz, FusedPlanesMatchMaterializedReference) {
   Database db;
   ASSERT_TRUE(db.AddIntItems({"a", "b", "c", "d", "e", "f"}, -4, 4).ok());
@@ -361,13 +361,13 @@ TEST(AnalysisContextFusedSweepFuzz, FusedPlanesMatchMaterializedReference) {
     Schedule s(std::move(ops));
     AnalysisContext ctx(db, *ic, s);
 
-    ConflictGraph full = ConflictGraph::BuildReference(s);
+    ConflictGraph full = ConflictGraph::Build(s);
     EXPECT_EQ(ctx.conflict_graph().Edges(), full.Edges()) << "seed " << seed;
     EXPECT_EQ(ctx.conflict_graph().ToString(), full.ToString());
 
     for (size_t e = 0; e < ic->num_conjuncts(); ++e) {
       ConflictGraph direct =
-          ConflictGraph::BuildReference(s.Project(ic->data_set(e)));
+          ConflictGraph::Build(s.Project(ic->data_set(e)));
       EXPECT_EQ(ctx.projection_graph(e).nodes(), direct.nodes())
           << "seed " << seed << " conjunct " << e;
       EXPECT_EQ(ctx.projection_graph(e).Edges(), direct.Edges())

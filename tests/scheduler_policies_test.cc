@@ -4,6 +4,9 @@
 // seeds — the executable counterpart of the paper's §3 schedule classes.
 
 #include <algorithm>
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,8 +15,14 @@
 #include "analysis/serializability.h"
 #include "scheduler/dr_scheduler.h"
 #include "scheduler/metrics.h"
+#include "scheduler/mvto_policy.h"
+#include "scheduler/priority_locking.h"
 #include "scheduler/pw_two_phase_locking.h"
+#include "scheduler/sgt_policy.h"
+#include "scheduler/sgt_victim_policy.h"
 #include "scheduler/sim.h"
+#include "scheduler/snapshot_isolation.h"
+#include "scheduler/timestamp_ordering.h"
 #include "scheduler/two_phase_locking.h"
 #include "scheduler/workload.h"
 
@@ -181,6 +190,55 @@ TEST(DrSchedulerStallTest, SimResolvesCommitGateDeadlock) {
   EXPECT_GT(policy.wait_events(), 0u);
   EXPECT_TRUE(IsDelayedRead(result->schedule));
   EXPECT_TRUE(CheckPwsr(result->schedule, *ic).is_pwsr);
+}
+
+// Every policy that sizes per-txn tables at construction (ids 1..num_txns)
+// must reject an id outside that population with InvalidArgument and treat
+// Commit / Abort / Blockers for it as no-ops — never index past its tables
+// (the ASan+UBSan job runs this). In-population ids keep working around
+// the malformed calls.
+TEST(FixedPopulationPolicyTest, OutOfPopulationIdsAreRejectedOrIgnored) {
+  static constexpr size_t kNumTxns = 3;
+  const std::vector<std::function<std::unique_ptr<SchedulerPolicy>()>>
+      factories = {
+          [] { return std::make_unique<TimestampOrderingPolicy>(kNumTxns); },
+          [] { return std::make_unique<MvtoPolicy>(kNumTxns); },
+          [] { return std::make_unique<SnapshotIsolationPolicy>(kNumTxns); },
+          [] { return std::make_unique<WoundWaitPolicy>(kNumTxns); },
+          [] { return std::make_unique<WaitDiePolicy>(kNumTxns); },
+          [] { return std::make_unique<SgtPolicy>(kNumTxns); },
+          [] { return std::make_unique<SgtVictimPolicy>(kNumTxns); },
+      };
+  TxnScript script;
+  script.steps = {{OpAction::kWrite, 0}, {OpAction::kRead, 1}};
+  const std::vector<TxnId> bad_ids = {0, kNumTxns + 5};
+  for (const auto& make : factories) {
+    std::unique_ptr<SchedulerPolicy> policy = make();
+    SCOPED_TRACE(policy->name());
+    for (TxnId bad : bad_ids) {
+      Result<AccessGrant> grant = policy->RequestAccess(bad, script, 0);
+      ASSERT_FALSE(grant.ok()) << "txn " << bad;
+      EXPECT_EQ(grant.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_TRUE(policy->Blockers(bad, script, 0).empty());
+      policy->Abort(bad);
+      policy->Commit(bad);
+    }
+    // The boundary ids run to commit, with malformed calls interleaved.
+    for (TxnId good : {TxnId{1}, TxnId{kNumTxns}}) {
+      for (size_t step = 0; step < script.steps.size(); ++step) {
+        EXPECT_EQ(Access(*policy, good, script, step),
+                  AccessVerdict::kGranted)
+            << "txn " << good << " step " << step;
+        for (TxnId bad : bad_ids) {
+          EXPECT_FALSE(policy->RequestAccess(bad, script, step).ok());
+          EXPECT_TRUE(policy->Blockers(bad, script, step).empty());
+          policy->Abort(bad);
+          policy->Commit(bad);
+        }
+      }
+      policy->Commit(good);
+    }
+  }
 }
 
 }  // namespace
